@@ -47,6 +47,7 @@ stays a readable story instead of one line per failed query.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor
@@ -1531,9 +1532,14 @@ class Coordinator:
             )
         for replica in self._replicas:
             replica.close()
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        if self._hedge_pool is not None:
-            self._hedge_pool.shutdown(wait=False, cancel_futures=True)
+        # join the pool threads now that no replica can block them —
+        # unless this call runs on one of them, which cannot join itself
+        me = threading.current_thread()
+        for pool in (self._pool, self._hedge_pool):
+            if pool is not None:
+                pool.shutdown(
+                    wait=me not in pool._threads, cancel_futures=True
+                )
 
     def __enter__(self) -> "Coordinator":
         return self

@@ -9,7 +9,8 @@ prune the survivors.  Both execution engines consume it:
   (:func:`expand_task`) and hands the per-operation records to the temporal
   layer for exact cycle annotation;
 * the ``batched`` backend expands a whole frontier level at once with the
-  bulk kernels in :mod:`repro.setops.bulk`, charging analytic cycles in
+  bulk kernels in :mod:`repro.setops.bulk` (a large leaf level is counted
+  from 64-bit adjacency words instead), charging analytic cycles in
   aggregate;
 * the ``codegen`` backend replays the same per-level algebra from
   plan-specialised compiled source (:mod:`repro.patterns.codegen`), using
@@ -23,7 +24,8 @@ sharding, GPU, ...) that only need the functional result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +51,28 @@ __all__ = [
     "FrontierLevel",
     "expand_frontier",
 ]
+
+# Leaf word kernel (``FrontierExpander._count_leaf_words``) and its cost
+# rule (``_leaf_words_pay``).  Costs are in adjacency-word operations,
+# fitted on PP/AS/WV/YT stand-in leaves of every built-in pattern.
+#: fewest leaf rows worth evaluating the cost rule for; smaller leaves
+#: always take the gather path
+LEAF_WORDS_MIN_ROWS = 2048
+#: fixed word-kernel cost per leaf row (index gathers, row bookkeeping)
+LEAF_WORDS_ROW_COST = 22
+#: fixed word-kernel cost per span group and operand (NumPy call overhead)
+LEAF_WORDS_GROUP_COST = 2000
+#: evenly spaced leaf rows the cost rule estimates its sums from
+LEAF_RULE_SAMPLE = 1024
+#: most 64-bit words one chunk of the word kernel holds per operand
+LEAF_WORDS_CHUNK = 1 << 16
+
+#: ``_LOW_BITS[k]`` keeps the low ``k`` bits of a word (k = 0..64)
+_LOW_BITS = np.array(
+    [(1 << k) - 1 for k in range(65)], dtype=np.uint64
+)
+#: ``_ONE_BIT[k]`` is bit ``k`` of a word
+_ONE_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 # -- word-stream geometry (BitmapCSR) ---------------------------------------
@@ -225,6 +249,21 @@ class FrontierExpander:
         self._adj_bits = packed_adjacency(graph)
         self._keys = None if self._adj_bits is not None else edge_keys(graph)
         self._row_words = row_word_counts(graph, bitmap_width)
+        # the same bitset as one 64-bit word row per vertex (rows are
+        # word-padded); the leaf word kernel needs little-endian words
+        self._adj_words = (
+            self._adj_bits.view(np.uint64)
+            if self._adj_bits is not None and sys.byteorder == "little"
+            else None
+        )
+        # one past each vertex's last neighbour (rows are sorted), 0 for
+        # an isolated vertex: no candidate of its row lies at or above it
+        self._row_end = np.zeros(graph.num_vertices, dtype=np.int32)
+        if self._adj_words is not None:
+            has = graph.degrees > 0
+            self._row_end[has] = (
+                graph.indices[graph.indptr[1:][has] - 1] + 1
+            )
 
     @property
     def row_words(self) -> np.ndarray:
@@ -263,8 +302,22 @@ class FrontierExpander:
         optimisations for the one-task-at-a-time engines; the bulk
         formulation computes each level directly from its full
         ``deps``/``anti_deps`` (algebraically identical), so every level is
-        a gather plus a sequence of bulk masks.
+        a gather plus a sequence of bulk masks.  A large leaf level is
+        instead counted from adjacency words (:meth:`_count_leaf_words`)
+        when :meth:`_leaf_words_pay` says that is cheaper; both paths give
+        the same :class:`FrontierLevel`, aggregates included.
         """
+        if (
+            level == self.plan.stop_level
+            and emb.shape[0] >= LEAF_WORDS_MIN_ROWS
+            and self._leaf_words_pay(self.plan.levels[level], emb)
+        ):
+            return self._count_leaf_words(level, emb)
+        return self._expand_gather(level, emb)
+
+    def _expand_gather(self, level: int, emb: np.ndarray) -> FrontierLevel:
+        """:meth:`expand` by candidate materialisation: one grouped
+        neighbour gather, then a boolean mask per filter and set op."""
         graph = self.graph
         lv: LevelSpec = self.plan.levels[level]
         n_rows = int(emb.shape[0])
@@ -317,6 +370,128 @@ class FrontierExpander:
         else:
             out.embeddings = np.column_stack([emb[owner], cand])
         return out
+
+    def _leaf_hi(self, lv: LevelSpec, emb: np.ndarray) -> np.ndarray:
+        """Exclusive bit bound of each leaf row's candidate set: its upper
+        bound, or one past its ``deps[0]`` row's last neighbour if lower."""
+        hi = self._row_end[emb[:, lv.deps[0]]]
+        for p in lv.upper_bounds:
+            np.minimum(hi, emb[:, p], out=hi)
+        return hi
+
+    def _leaf_words_pay(self, lv: LevelSpec, emb: np.ndarray) -> bool:
+        """The cost rule: is the word kernel estimated cheaper than the
+        gather path for this leaf?
+
+        Both estimates are in adjacency-word operations (one gathered
+        candidate costs about one word).  The word kernel touches
+        ``Σ span`` words per operand and pays a fixed cost per row and per
+        span group and operand; the gather path makes one pass over the
+        ``deps[0]`` rows' neighbours per gather, filter, full-size probe
+        and ``choose2`` tally.  The sums are estimated from evenly spaced
+        rows, so a leaf that gathers pays little for asking.  Labelled
+        leaves, leaves with lower bounds and graphs without a
+        little-endian word bitset always gather.
+        """
+        if (
+            self._adj_words is None
+            or lv.lower_bounds
+            or (lv.label is not None and self.graph.labels is not None)
+        ):
+            return False
+        n_rows = int(emb.shape[0])
+        sample = emb[:: max(n_rows // LEAF_RULE_SAMPLE, 1)]
+        scale = n_rows / sample.shape[0]
+        span = (self._leaf_hi(lv, sample) + 63) >> 6
+        # at most one group per nonzero span
+        groups = int(span.max())
+        ops = len(lv.deps) - 1 + len(lv.anti_deps)
+        words = (
+            float(span.sum()) * scale + LEAF_WORDS_GROUP_COST * groups
+        ) * (ops + 1) + LEAF_WORDS_ROW_COST * n_rows
+        # passes over the gathered candidates: the gather, the bound and
+        # exclusion filters, the first set op, the choose2 tally and, with
+        # no dep to shrink the set first, every further (anti) op
+        passes = (
+            1
+            + bool(lv.upper_bounds)
+            + len(lv.exclude)
+            + (ops > 0)
+            + (self.plan.collection == "choose2")
+        )
+        if len(lv.deps) == 1:
+            passes += max(len(lv.anti_deps) - 1, 0)
+        degrees = self.graph.degrees[sample[:, lv.deps[0]]]
+        return words < float(degrees.sum()) * scale * passes
+
+    def _count_leaf_words(self, level: int, emb: np.ndarray) -> FrontierLevel:
+        """Count leaf level ``level`` from 64-bit adjacency words.
+
+        Each row's candidate set starts as its ``deps[0]`` word row cut at
+        :meth:`_leaf_hi`, less the ``exclude`` bits; each further dep is
+        ANDed in and each anti dep AND-NOTed, in the gather path's order
+        (SISA's |A∩B| / |A∖B| on bitvector sets).  A popcount after every
+        step gives the exact set sizes the aggregates need, so no candidate
+        is materialised.  Rows are grouped by word span ``ceil(hi / 64)``,
+        so only a group's last word needs a mask, and chunked so no operand
+        exceeds ``LEAF_WORDS_CHUNK`` words.
+        """
+        lv: LevelSpec = self.plan.levels[level]
+        words = self._adj_words
+        assert words is not None
+        rw = self._row_words
+        n_rows = int(emb.shape[0])
+        hi = self._leaf_hi(lv, emb)
+        # span ≤ 256 words under the bitset cap: int16 sorts by radix
+        span = ((hi + 63) >> 6).astype(np.int16)
+        order = np.argsort(span, kind="stable")
+        emb_s, hi_s, span_s = emb[order], hi[order], span[order]
+        src = emb_s[:, lv.deps[0]]
+        cols = [emb_s[:, p] for p in (*lv.deps[1:], *lv.anti_deps)]
+        n_and = len(lv.deps) - 1
+        choose2 = self.plan.collection == "choose2"
+        # sizes[j]: candidates summed over rows before set op j; the last
+        # entry is the final (leaf) size
+        sizes = [0] * (len(cols) + 1)
+        count = 0
+        starts = np.flatnonzero(np.diff(span_s)) + 1
+        for a, b in zip([0, *starts.tolist()], [*starts.tolist(), n_rows]):
+            s = int(span_s[a])
+            if s == 0:
+                continue  # empty candidate sets: every size is 0
+            step = max(LEAF_WORDS_CHUNK // s, 1)
+            for lo in range(a, b, step):
+                rows = slice(lo, min(lo + step, b))
+                acc = words[src[rows], :s]
+                acc[:, -1] &= _LOW_BITS[hi_s[rows] - 64 * (s - 1)]
+                for p in lv.exclude:
+                    v = emb_s[rows, p]
+                    hit = np.flatnonzero(v < 64 * s)
+                    v = v[hit]
+                    acc[hit, v >> 6] &= ~_ONE_BIT[v & 63]
+                pop = np.bitwise_count(acc)
+                sizes[0] += int(pop.sum())
+                for j, col in enumerate(cols):
+                    other = words[col[rows], :s]
+                    if j >= n_and:
+                        np.invert(other, out=other)
+                    acc &= other
+                    np.bitwise_count(acc, out=pop)
+                    sizes[j + 1] += int(pop.sum())
+                if choose2:
+                    per_row = pop.sum(axis=1, dtype=np.int64)
+                    count += int((per_row * (per_row - 1) // 2).sum())
+        other_words = [int(rw[col].sum()) for col in cols]
+        return FrontierLevel(
+            level=level,
+            tasks=n_rows,
+            embeddings=emb[:0],
+            count=count if choose2 else sizes[-1],
+            set_ops=n_rows * len(cols),
+            comparisons=sum(sizes[:-1]) + sum(other_words),
+            words_in=int(rw[src].sum()) + sum(other_words),
+            words_out=sizes[-1],
+        )
 
 
 def expand_frontier(

@@ -113,6 +113,24 @@ def _quiet_close(shm) -> None:
         shm._mmap = None
 
 
+def _reinit_tracker_lock() -> None:
+    """Give a forked child a free resource-tracker lock.
+
+    Pool workers are forked from whichever thread submits the first job,
+    and the cluster runs one such pool per shard.  When another thread of
+    the parent holds the tracker's lock at that moment (creating,
+    unlinking or attaching a segment), the child inherits it held by a
+    thread it does not have, and its first :func:`attach_graph` blocks
+    forever.  The child has only the forking thread, so resetting the
+    lock is safe.
+    """
+    resource_tracker._resource_tracker._lock._at_fork_reinit()
+
+
+if _HAVE_SHM and hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_reinit_tracker_lock)
+
+
 def _retrack(shm) -> None:
     """Re-register a segment just before the creator unlinks it.
 

@@ -79,12 +79,15 @@ def packed_adjacency(
     Row ``u``, bit ``v`` (little-endian within each byte) says whether the
     edge ``(u, v)`` exists.  One byte gather plus a shift answers an
     adjacency query — far cheaper than the ``O(log E)`` probe of
-    :func:`bulk_adjacency` — at ``V²/8`` bytes of memory.
+    :func:`bulk_adjacency` — at ``V²/8`` bytes of memory.  Each row is
+    zero-padded to whole 64-bit words, so on a little-endian host
+    ``bits.view(np.uint64)`` is the same matrix as one word row per vertex
+    (bit ``v`` of row ``u`` in word ``v >> 6``, bit ``v & 63``) with no copy.
     """
     n = graph.num_vertices
     if n == 0 or n > max_vertices:
         return None
-    bits = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    bits = np.zeros((n, 8 * ((n + 63) // 64)), dtype=np.uint8)
     # pack in row chunks so the dense staging buffer stays small
     chunk = max(1, (1 << 22) // max(n, 1))
     for lo in range(0, n, chunk):
@@ -96,7 +99,8 @@ def packed_adjacency(
             graph.degrees[lo:hi],
         )
         dense[rows - lo, graph.indices[span]] = True
-        bits[lo:hi] = np.packbits(dense, axis=1, bitorder="little")
+        packed = np.packbits(dense, axis=1, bitorder="little")
+        bits[lo:hi, : packed.shape[1]] = packed
     return bits
 
 

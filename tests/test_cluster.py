@@ -2,12 +2,14 @@
 
 import os
 import pickle
+import threading
 
 import numpy as np
 import pytest
 
 from repro.cluster import (
     Coordinator,
+    HedgePolicy,
     LocalCluster,
     ShardWorker,
     available_transports,
@@ -347,6 +349,40 @@ class TestCoordinator:
         cfg = xset_default(engine="batched", cluster_shards=3)
         with LocalCluster(config=cfg) as cluster:
             assert len(cluster.workers) == 3
+
+    @pytest.mark.parametrize("transport", ["inproc", "tcp"])
+    def test_shutdown_joins_pool_threads(self, small_er, transport):
+        def pool_threads():
+            return {
+                t for t in threading.enumerate()
+                if t.name.startswith(("cluster-scatter", "cluster-hedge"))
+            }
+
+        before = pool_threads()
+        cluster = LocalCluster(
+            num_shards=2,
+            config=xset_default(engine="batched"),
+            transport=transport,
+            replicas=2,
+            hedge=HedgePolicy(enabled=True),
+        )
+        try:
+            gid = cluster.coordinator.register_graph(small_er)
+            cluster.coordinator.count(gid, PATTERNS["3CF"])
+            names = {t.name for t in pool_threads() - before}
+            assert any(n.startswith("cluster-scatter") for n in names)
+        finally:
+            cluster.shutdown()
+        assert pool_threads() - before == set()
+
+    def test_shutdown_on_a_pool_thread_does_not_join_itself(self):
+        cluster = LocalCluster(num_shards=2)
+        try:
+            coord = cluster.coordinator
+            # a thread cannot join itself: this would raise or hang
+            coord._pool.submit(coord.shutdown).result(timeout=30)
+        finally:
+            cluster.shutdown()
 
 
 # -- resilience / chaos -----------------------------------------------------

@@ -222,6 +222,10 @@ class TestFrontierExpander:
         v = rng.integers(0, small_er.num_vertices, 500)
         bits = packed_adjacency(small_er)
         assert bits is not None
+        # rows padded to whole 64-bit words, the padding bits clear
+        n = small_er.num_vertices
+        assert bits.shape == (n, 8 * ((n + 63) // 64))
+        assert not bits[:, (n + 7) // 8 :].any()
         keys = edge_keys(small_er)
         got_bits = bulk_adjacency_bits(bits, u, v)
         got_keys = bulk_adjacency(keys, small_er.num_vertices, u, v)

@@ -14,7 +14,10 @@ The contract under test (see ``repro/graph/store.py``):
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
+import threading
+from multiprocessing import resource_tracker
 
 import numpy as np
 import pytest
@@ -35,6 +38,10 @@ from repro.service.worker import worker_graph_cache_info
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="shared memory unavailable on this platform"
 )
+
+
+def _attach_and_close(ref) -> None:
+    attach_graph(ref).close()
 
 
 def shm_segments() -> list[str]:
@@ -128,6 +135,37 @@ class TestLifecycle:
         assert not shm_available()
         with pytest.raises(GraphFormatError, match="unavailable"):
             GraphSegment.create(small_er)
+
+    def test_forked_child_attaches_while_tracker_lock_held(self, small_er):
+        """A worker forked while another thread holds the tracker's lock
+        must still attach (it used to block forever on the inherited
+        lock)."""
+        segment = share_graph(small_er)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with resource_tracker._resource_tracker._lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        try:
+            assert held.wait(10)
+            child = multiprocessing.get_context("fork").Process(
+                target=_attach_and_close, args=(segment.ref,)
+            )
+            child.start()
+        finally:
+            release.set()
+            holder.join(10)
+        child.join(20)
+        hung = child.is_alive()
+        if hung:
+            child.kill()
+            child.join(10)
+        segment.unlink()
+        assert not hung and child.exitcode == 0
 
     def test_no_segments_leak_from_this_module(self):
         # meaningful because this file creates/unlinks many segments above
