@@ -121,6 +121,13 @@ class SystemConfig:
         """
         return replace(self, **kwargs)
 
+    def __getstate__(self) -> dict:
+        # the memoised cache_key() is derived state: keep pickles as small
+        # as they were before it was memoised
+        state = self.__dict__.copy()
+        state.pop("_cache_key", None)
+        return state
+
     def cache_key(self) -> tuple:
         """Stable hashable projection of every configuration field.
 
@@ -130,8 +137,11 @@ class SystemConfig:
         the report (engine, PE count, memory subsystem, ...) must be part
         of the key.  Nested dataclasses flatten to tuples and dict params
         to sorted item tuples so the result is hashable and
-        order-insensitive.
+        order-insensitive.  Computed once per (frozen) instance.
         """
+        key = self.__dict__.get("_cache_key")
+        if key is not None:
+            return key
         parts = []
         for f in fields(self):
             value = getattr(self, f.name)
@@ -140,7 +150,10 @@ class SystemConfig:
             elif isinstance(value, dict):
                 value = tuple(sorted(value.items()))
             parts.append((f.name, value))
-        return tuple(parts)
+        key = tuple(parts)
+        # frozen: bypass __setattr__; not a field, so eq/replace ignore it
+        self.__dict__["_cache_key"] = key
+        return key
 
 
 def xset_default(**overrides) -> SystemConfig:

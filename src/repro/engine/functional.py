@@ -24,21 +24,15 @@ sharding, GPU, ...) that only need the functional result.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..graph.index import row_word_counts
 from ..patterns.executor import apply_filters
 from ..patterns.plan import LevelSpec, MatchingPlan
-from ..setops.bulk import (
-    bulk_adjacency,
-    bulk_adjacency_bits,
-    edge_keys,
-    gather_rows,
-    packed_adjacency,
-)
+from ..setops.bulk import bulk_adjacency, bulk_adjacency_bits, gather_rows
 from ..setops.reference import difference_sorted, intersect_sorted
 
 __all__ = [
@@ -76,21 +70,6 @@ _ONE_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 # -- word-stream geometry (BitmapCSR) ---------------------------------------
-
-
-def row_word_counts(graph: CSRGraph, width: int) -> np.ndarray:
-    """BitmapCSR words per neighbour row, computed in one vectorised pass."""
-    if width == 0:
-        return graph.degrees.astype(np.int64)
-    idx = graph.indices.astype(np.int64) // width
-    if idx.size == 0:
-        return np.zeros(graph.num_vertices, dtype=np.int64)
-    flag = np.ones(idx.size, dtype=np.int64)
-    flag[1:] = (idx[1:] != idx[:-1]).astype(np.int64)
-    starts = graph.indptr[:-1]
-    flag[starts[starts < idx.size]] = 1
-    csum = np.concatenate([[0], np.cumsum(flag)])
-    return csum[graph.indptr[1:]] - csum[graph.indptr[:-1]]
 
 
 def set_stream_words(vertices: np.ndarray, width: int) -> int:
@@ -237,33 +216,27 @@ class FrontierLevel:
 
 
 class FrontierExpander:
-    """Reusable bulk expansion state for one ``(graph, plan)`` pair."""
+    """Bulk expansion state for one ``(graph, plan)`` pair.
+
+    Every graph-side table comes from the snapshot's
+    :class:`~repro.graph.index.GraphIndex` (``graph.index``), built on the
+    graph's first query and reused by every later one, so constructing an
+    expander costs a few attribute loads once the index is warm.
+    """
 
     def __init__(
         self, graph: CSRGraph, plan: MatchingPlan, bitmap_width: int = 0
     ) -> None:
         self.graph = graph
         self.plan = plan
-        # adjacency oracle: packed bitset (one byte gather per query) for
-        # small graphs, sorted edge-key binary search beyond the size cap
-        self._adj_bits = packed_adjacency(graph)
-        self._keys = None if self._adj_bits is not None else edge_keys(graph)
-        self._row_words = row_word_counts(graph, bitmap_width)
-        # the same bitset as one 64-bit word row per vertex (rows are
-        # word-padded); the leaf word kernel needs little-endian words
-        self._adj_words = (
-            self._adj_bits.view(np.uint64)
-            if self._adj_bits is not None and sys.byteorder == "little"
-            else None
-        )
-        # one past each vertex's last neighbour (rows are sorted), 0 for
-        # an isolated vertex: no candidate of its row lies at or above it
-        self._row_end = np.zeros(graph.num_vertices, dtype=np.int32)
-        if self._adj_words is not None:
-            has = graph.degrees > 0
-            self._row_end[has] = (
-                graph.indices[graph.indptr[1:][has] - 1] + 1
-            )
+        index = graph.index
+        # adjacency oracle: packed bitset for small graphs, sorted edge
+        # keys beyond the size cap; word rows for the leaf word kernel
+        self._adj_bits = index.adj_bits
+        self._keys = index.edge_keys
+        self._adj_words = index.adj_words
+        self._row_end = index.row_end
+        self._row_words = index.row_words(bitmap_width)
 
     @property
     def row_words(self) -> np.ndarray:

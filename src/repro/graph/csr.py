@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..errors import GraphFormatError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .index import GraphIndex
 
 __all__ = ["CSRGraph", "edges_to_csr"]
 
@@ -67,6 +70,13 @@ def edges_to_csr(
     return indptr, dst
 
 
+def _read_only(arr: np.ndarray | None) -> np.ndarray | None:
+    """``arr``, flagged read-only (``None`` passes through)."""
+    if arr is not None:
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass
 class CSRGraph:
     """An undirected simple graph in sorted-CSR form.
@@ -80,6 +90,11 @@ class CSRGraph:
         ``int32`` array of neighbour IDs, sorted ascending within each row.
     name:
         Optional human-readable dataset name (used in reports).
+
+    The graph is immutable: its arrays are flagged read-only (including
+    arrays the caller passed in without a copy), so an in-place edit
+    raises instead of leaving :attr:`index` stale.  An edge edit builds a
+    new snapshot (``QueryService.update_graph``) with its own index.
     """
 
     indptr: np.ndarray
@@ -90,10 +105,17 @@ class CSRGraph:
     #: optional per-vertex labels (int array of length n) for labelled GPM
     labels: np.ndarray | None = None
     _degrees: np.ndarray = field(init=False, repr=False)
+    _index: "GraphIndex | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.indptr = np.ascontiguousarray(self.indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(self.indices, dtype=np.int32)
+        self.indptr = _read_only(
+            np.ascontiguousarray(self.indptr, dtype=np.int64)
+        )
+        self.indices = _read_only(
+            np.ascontiguousarray(self.indices, dtype=np.int32)
+        )
         if self.indptr.ndim != 1 or self.indptr.size == 0:
             raise GraphFormatError("indptr must be a 1-D array of length n+1")
         if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
@@ -101,10 +123,24 @@ class CSRGraph:
         if np.any(np.diff(self.indptr) < 0):
             raise GraphFormatError("indptr must be non-decreasing")
         if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            self.labels = _read_only(
+                np.ascontiguousarray(self.labels, dtype=np.int64)
+            )
             if self.labels.shape != (self.indptr.size - 1,):
                 raise GraphFormatError("labels must have one entry per vertex")
-        self._degrees = np.diff(self.indptr)
+        self._degrees = _read_only(np.diff(self.indptr))
+
+    def __getstate__(self) -> dict:
+        # the index is per process and rebuilt on demand: shipping it would
+        # add V²/8 bytes to every pickle of a graph that has been queried
+        state = self.__dict__.copy()
+        state["_index"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in ("indptr", "indices", "labels", "_degrees"):
+            _read_only(self.__dict__.get(name))
 
     # -- constructors ------------------------------------------------------
 
@@ -142,6 +178,17 @@ class CSRGraph:
     @property
     def degrees(self) -> np.ndarray:
         return self._degrees
+
+    @property
+    def index(self) -> "GraphIndex":
+        """This snapshot's :class:`~repro.graph.index.GraphIndex`, attached
+        on first access and built table by table on first use."""
+        index = self._index
+        if index is None:
+            from .index import GraphIndex
+
+            index = GraphIndex.of(self)
+        return index
 
     def degree(self, v: int) -> int:
         return int(self._degrees[v])
@@ -231,7 +278,7 @@ class CSRGraph:
         if self.labels is not None:
             new_labels = np.empty_like(self.labels)
             new_labels[rank] = self.labels
-            out.labels = new_labels
+            out = out.with_labels(new_labels)
         return out
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "CSRGraph":

@@ -29,6 +29,7 @@ modes are compiled automatically (paper Figure 7):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from ..errors import PlanError
@@ -45,6 +46,10 @@ __all__ = [
 
 #: patterns the evaluation counts in induced form (difference-heavy plans)
 DEFAULT_INDUCED = frozenset({"CYC", "TT", "WEDGE", "P3"})
+
+#: distinct plans :func:`build_plan` keeps memoised (least recently used
+#: evicted first)
+PLAN_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -296,10 +301,28 @@ def build_plan(
     ``order`` overrides the heuristic matching order; ``collection`` forces a
     result-collection mode (``enumerate`` disables IEP collapses so every
     embedding is spawned — needed by enumeration workloads).
+
+    Plans are frozen, so equal arguments return the same memoised object:
+    a service pays the plan compilation once per distinct query shape.
     """
     if induced is None:
         induced = pattern.name in DEFAULT_INDUCED
-    order_t = tuple(order) if order is not None else choose_order(pattern)
+    return _build_plan(
+        pattern,
+        bool(induced),
+        tuple(int(v) for v in order) if order is not None else None,
+        collection,
+    )
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _build_plan(
+    pattern: Pattern,
+    induced: bool,
+    order: tuple[int, ...] | None,
+    collection: str | None,
+) -> MatchingPlan:
+    order_t = order if order is not None else choose_order(pattern)
     if sorted(order_t) != list(range(pattern.num_vertices)):
         raise PlanError("order must be a permutation of the pattern vertices")
     restrictions = symmetry_restrictions(pattern)

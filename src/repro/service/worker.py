@@ -36,6 +36,7 @@ from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from ..graph.csr import CSRGraph
+from ..graph.index import index_build_counts
 from ..graph.store import AttachedGraph, SharedGraphRef, attach_graph
 from ..resilience.faults import FaultInjector, FaultSpec, inject
 
@@ -47,7 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_job", "worker_graph_cache_info"]
 
 #: per-process resolved graphs, keyed by graph_id.  One entry per id: an
-#: updated snapshot (new fingerprint) replaces the old.  The third slot
+#: updated snapshot (new fingerprint) replaces the old, retiring its
+#: :class:`~repro.graph.index.GraphIndex` with it.  The third slot
 #: holds the AttachedGraph keeping a shared-memory mapping alive, or None
 #: for graphs that arrived as pickle bytes / live objects.
 _GRAPH_CACHE: dict[str, tuple[str, CSRGraph, "AttachedGraph | None"]] = {}
@@ -199,10 +201,15 @@ def run_job(
 
 
 def worker_graph_cache_info() -> dict:
-    """Snapshot of this process's graph cache (used by tests/debugging)."""
+    """Snapshot of this process's graph cache (used by tests/debugging).
+
+    ``index_builds`` counts the adjacency indexes this process has built:
+    one per (process, snapshot) that ran a batched or codegen query.
+    """
     return {
         "pid": os.getpid(),
         "graphs": sorted(_GRAPH_CACHE),
         "fills": _CACHE_FILLS,
         "attaches": _SHM_ATTACHES,
+        "index_builds": index_build_counts()["adjacency"],
     }

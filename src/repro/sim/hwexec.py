@@ -10,10 +10,12 @@ layers in :mod:`repro.engine`:
   charges the modelled hardware time — SIU cost terms plus memory stream
   timings — against the shared memory hierarchy state.
 
-Word-stream lengths (BitmapCSR words per set) are pre-computed per graph row
-and cached per intermediate set, and the merge boundaries the cost formulas
-need are derived from the functional result — the simulator never re-derives
-what it already knows, which keeps per-task overhead low.
+Word-stream lengths (BitmapCSR words per set) come per graph row from the
+snapshot's :class:`~repro.graph.index.GraphIndex` (built once per graph and
+bitmap width, not per run) and are cached per intermediate set, and the
+merge boundaries the cost formulas need are derived from the functional
+result — the simulator never re-derives what it already knows, which keeps
+per-task overhead low.
 
 ``TASK_DISPATCH_CYCLES``/``TASK_COMMIT_CYCLES`` and :class:`TaskOutcome`
 now live in :mod:`repro.engine.temporal`; they are re-exported here for
@@ -24,11 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.functional import (
-    expand_task,
-    row_word_counts,
-    set_stream_words,
-)
+from ..engine.functional import expand_task, set_stream_words
 from ..engine.temporal import (
     TASK_COMMIT_CYCLES,
     TASK_DISPATCH_CYCLES,
@@ -49,11 +47,6 @@ __all__ = [
 ]
 
 
-def _row_word_counts(graph: CSRGraph, width: int) -> np.ndarray:
-    """BitmapCSR words per neighbour row (compat alias for the engine layer)."""
-    return row_word_counts(graph, width)
-
-
 class HardwareTaskExecutor:
     """Executes tasks functionally while charging modelled hardware time."""
 
@@ -72,7 +65,7 @@ class HardwareTaskExecutor:
         self.task_overhead = task_overhead_cycles
         self.stop_level = plan.stop_level
         self._width = siu.bitmap_width
-        self._row_words = row_word_counts(graph, self._width)
+        self._row_words = graph.index.row_words(self._width)
         self._annotator = TaskCostAnnotator(
             graph,
             siu,
